@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"xui/internal/core"
 	"xui/internal/kernel"
 	"xui/internal/kvstore"
@@ -71,6 +69,9 @@ func Fig7(loads []float64, horizon sim.Time) []Fig7Row {
 
 const fig7Quantum = 5 * 2000 // 5 µs
 
+// fig7Keys is the number of keys in fig7's store.
+const fig7Keys = 20000
+
 func fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 	s := sim.New(1234)
 	nCores := 1
@@ -92,12 +93,10 @@ func fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 		panic(err)
 	}
 
-	// A real store pre-populated with ordered keys; each completed request
-	// actually executes against it.
-	store := kvstore.Open(5)
-	for i := 0; i < 20000; i++ {
-		store.Put([]byte(fmt.Sprintf("user%08d", i)), []byte(fmt.Sprintf("profile-%d", i)))
-	}
+	// A real store pre-populated with ordered keys, shared read-only by
+	// every grid point; each completed request actually executes against
+	// it.
+	kv := kvStore(fig7Keys, 5)
 	costs := kvstore.DefaultCostModel()
 	rng := sim.NewRNG(77)
 	rec := loadgen.NewRecorder()
@@ -110,13 +109,13 @@ func fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 			class = "SCAN"
 			service = costs.SampleScan(rng)
 		}
-		key := []byte(fmt.Sprintf("user%08d", rng.Intn(20000)))
+		key := kv.keys[rng.Intn(fig7Keys)]
 		rt.Spawn(0, class, service, func(done sim.Time, th *urt.UThread) {
 			// Execute the real operation at completion.
 			if th.Class == "SCAN" {
-				store.Scan(key, 100, func(_, _ []byte) {})
+				kv.store.Scan(key, 100, func(_, _ []byte) {})
 			} else {
-				store.Get(key)
+				kv.store.Get(key)
 			}
 			rec.Record(th.Class, uint64(done-th.Arrived))
 		})

@@ -3,7 +3,6 @@ package experiments
 import (
 	"xui/internal/apic"
 	"xui/internal/core"
-	"xui/internal/lpm"
 	"xui/internal/netsim"
 	"xui/internal/sim"
 	"xui/internal/uintr"
@@ -59,7 +58,7 @@ func fig8Point(mode netsim.Mode, nq int, loadPct float64, horizon sim.Time) Fig8
 	}
 	maybeObserve(m)
 	v := m.Cores[0]
-	table := lpm.GenerateTable(16000, 7)
+	table := routeTable(16000, 7) // shared read-only by every grid point
 
 	// Offered load: loadPct of the core's forwarding capacity, split
 	// evenly across queues.

@@ -8,6 +8,7 @@ import (
 
 	"xui/internal/cpu"
 	"xui/internal/mem"
+	"xui/internal/sim"
 	"xui/internal/trace"
 )
 
@@ -46,10 +47,13 @@ func TestBaselineStrategyInvariance(t *testing.T) {
 }
 
 // TestRunCacheParity is the determinism contract for the whole redundancy
-// layer: experiment rows must be byte-identical with the run cache, tapes
-// and core pool on or off, serial or parallel. The cached configurations
-// also revisit warm entries (the same grid runs twice with caching on),
-// so single-flight hits are compared against true recomputation.
+// layer: experiment rows must be byte-identical with the run cache, tapes,
+// core pool and shared Tier-2 fixtures on or off, serial or parallel. The
+// cached configurations also revisit warm entries (the same grid runs
+// twice with caching on), so single-flight hits are compared against true
+// recomputation. The fixture cases use multi-point grids, so at -j 8
+// several workers (and, for the scale edge, several shard goroutines)
+// read one route table or store at once.
 func TestRunCacheParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every Tier-1 grid experiment four times")
@@ -65,6 +69,12 @@ func TestRunCacheParity(t *testing.T) {
 		{"s35linearity", func() any { return S35Linearity([]int{5, 10}) }},
 		{"safepoint-density", func() any { return SafepointDensity([]int{25, 100}, 40000) }},
 		{"poll-density", func() any { return PollDensity([]int{25}, 40000) }},
+		{"fig7", func() any { return Fig7([]float64{100_000, 200_000}, 2*sim.Millisecond) }},
+		{"fig8", func() any { return Fig8([]int{1, 2}, []float64{20, 40}, 2*sim.Millisecond) }},
+		{"scale-edge", func() any {
+			return ScalePoint(ScaleConfig{Mode: "edge", Groups: 4, CoresPerGroup: 2, NICsPerGroup: 2,
+				LoadPct: 40, Horizon: 2 * sim.Millisecond}, 4)
+		}},
 	}
 	configs := []struct {
 		name    string

@@ -8,7 +8,6 @@ import (
 	"xui/internal/kernel"
 	"xui/internal/kvstore"
 	"xui/internal/loadgen"
-	"xui/internal/lpm"
 	"xui/internal/netsim"
 	"xui/internal/shard"
 	"xui/internal/sim"
@@ -265,8 +264,8 @@ func scaleEdge(cfg ScaleConfig, width int) ScaleRow {
 	maybeObserve(m)
 
 	// Aggregator thread on core 1 of group 0; forwarding runs on core 0 of
-	// every group. One shared routing table: it is read-only during the
-	// run, so all shards can look routes up in it.
+	// every group. One shared routing table, the same fixture fig8 uses:
+	// it is read-only, so all shards can look routes up in it.
 	k0 := kernel.NewOn(m, 0, cpg)
 	var aggRecv uint64
 	agg := k0.NewThread()
@@ -276,7 +275,7 @@ func scaleEdge(cfg ScaleConfig, width int) ScaleRow {
 	if err != nil {
 		panic(err)
 	}
-	table := lpm.GenerateTable(16000, 7)
+	table := routeTable(16000, 7)
 
 	capacityPPS := float64(sim.CyclesPerSecond) / float64(netsim.PacketCost)
 	perNICGap := sim.Time(float64(sim.CyclesPerSecond) / (capacityPPS * cfg.LoadPct / 100 / float64(nq)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -207,4 +208,49 @@ func TestValuesAreCopied(t *testing.T) {
 	if got, ok := st.Get([]byte("k")); !ok || !bytes.Equal(got, []byte("live")) {
 		t.Errorf("store aliases caller buffers: %q %v", got, ok)
 	}
+}
+
+// TestConcurrentReaders shares one filled store — memtable plus several
+// flushed runs — between eight goroutines doing Get and Scan, and checks
+// each sees the serial answers. Under -race this is the proof that reads
+// never mutate the store.
+func TestConcurrentReaders(t *testing.T) {
+	st := Open(5)
+	st.FlushThreshold = 256
+	const n = 2000
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%08d", i))
+		st.Put(keys[i], []byte(fmt.Sprintf("profile-%d", i)))
+	}
+	if st.Runs() < 2 || st.MemSize() == 0 {
+		t.Fatalf("fill left %d runs and %d memtable keys; want both tiers populated", st.Runs(), st.MemSize())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < n; i += 7 {
+				if v, ok := st.Get(keys[i]); !ok || string(v) != fmt.Sprintf("profile-%d", i) {
+					t.Errorf("goroutine %d: Get(%s) = %q/%v", g, keys[i], v, ok)
+					return
+				}
+				if i%50 != 0 {
+					continue
+				}
+				next := i
+				got := st.Scan(keys[i], 20, func(k, _ []byte) {
+					if !bytes.Equal(k, keys[next]) {
+						t.Errorf("goroutine %d: Scan from %s visited %s, want %s", g, keys[i], k, keys[next])
+					}
+					next++
+				})
+				if want := min(20, n-i); got != want {
+					t.Errorf("goroutine %d: Scan from %s visited %d keys, want %d", g, keys[i], got, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -25,11 +25,17 @@ const (
 )
 
 // Table is a DIR-24-8 LPM table. NextHop values must fit in 14 bits.
+//
+// A table under construction (New, then Add) is not safe for concurrent
+// use. A table built by GenerateTable is read-only: its build-only state
+// is released, Add panics on it, and any number of goroutines may call
+// Lookup on it concurrently.
 type Table struct {
 	tbl24 []uint16
 	tbl8  []uint16
 	// depth24 tracks the prefix length that installed each tbl24 entry, so
-	// longer prefixes correctly override shorter ones.
+	// longer prefixes correctly override shorter ones. Only Add reads the
+	// depths; both are nil once the table is read-only.
 	depth24 []uint8
 	depth8  []uint8
 	groups  int
@@ -51,8 +57,12 @@ func New() *Table {
 func (t *Table) Len() int { return t.routes }
 
 // Add installs prefix ip/length → nextHop. Longer prefixes override
-// shorter ones on overlapping ranges regardless of insertion order.
+// shorter ones on overlapping ranges regardless of insertion order. It
+// panics on a read-only table (one built by GenerateTable).
 func (t *Table) Add(ip uint32, length int, nextHop uint16) error {
+	if t.depth24 == nil {
+		panic("lpm: Add on a read-only table (GenerateTable released its build state)")
+	}
 	if length < 1 || length > 32 {
 		return fmt.Errorf("lpm: bad prefix length %d", length)
 	}
@@ -146,7 +156,10 @@ func prefixMask(length int) uint32 {
 
 // GenerateTable builds a routing table with n random prefixes (the
 // experiment's 16,000 entries), spread across realistic prefix lengths,
-// plus a default-free fallback /8 cover so every address resolves.
+// plus a default-free fallback /8 cover so every address resolves. The
+// returned table is read-only: the per-entry prefix depths that only Add
+// reads (16 MB) are dropped, so a retained table costs tbl24 and tbl8
+// alone and may be shared by concurrent Lookup callers.
 func GenerateTable(n int, seed uint64) *Table {
 	t := New()
 	rng := sim.NewRNG(seed)
@@ -161,6 +174,7 @@ func GenerateTable(n int, seed uint64) *Table {
 		nh := uint16(rng.Intn(MaxNextHop))
 		_ = t.Add(ip, l, nh)
 	}
+	t.depth24, t.depth8 = nil, nil
 	return t
 }
 

@@ -1,6 +1,8 @@
 package lpm
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +156,52 @@ func TestGenerateTable(t *testing.T) {
 			t.Fatalf("unroutable address with /8 cover present")
 		}
 	}
+}
+
+// TestGeneratedTableReadOnly: a generated table has released its
+// build-only depths, so Add must refuse it loudly instead of installing
+// routes without longest-prefix bookkeeping.
+func TestGeneratedTableReadOnly(t *testing.T) {
+	tb := GenerateTable(100, 3)
+	if tb.depth24 != nil || tb.depth8 != nil {
+		t.Error("GenerateTable kept its build-only depth arrays")
+	}
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "read-only") {
+			t.Errorf("Add on a generated table: recovered %v, want a read-only panic", r)
+		}
+	}()
+	_ = tb.Add(ip4(10, 0, 0, 0), 8, 1)
+}
+
+// TestConcurrentLookup shares one generated table between eight
+// goroutines; each must see exactly the serial answers. Under -race this
+// is the proof that Lookup never writes.
+func TestConcurrentLookup(t *testing.T) {
+	tb := GenerateTable(2000, 7)
+	rng := sim.NewRNG(11)
+	addrs := make([]uint32, 4096)
+	want := make([]uint16, len(addrs))
+	for i := range addrs {
+		addrs[i] = uint32(rng.Uint64())
+		want[i], _ = tb.Lookup(addrs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range addrs {
+				j := (i + g*512) % len(addrs)
+				if nh, ok := tb.Lookup(addrs[j]); !ok || nh != want[j] {
+					t.Errorf("goroutine %d: Lookup(%#x) = %d/%v, want %d", g, addrs[j], nh, ok, want[j])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func BenchmarkLookup(b *testing.B) {

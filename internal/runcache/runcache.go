@@ -66,13 +66,17 @@ func SetEnabled(on bool) { enabled.Store(on) }
 // Enabled reports whether memoization is active.
 func Enabled() bool { return enabled.Load() }
 
-// Stats is a point-in-time snapshot of one cache's counters.
+// Stats is a point-in-time snapshot of one cache's counters. Every Get
+// call lands in exactly one of Hits, Misses, DedupWaits, Poisoned and
+// DiskHits, so their sum is the number of Gets since the last reset. A
+// GetCached call that finds its key counts the same way; one that finds
+// nothing counts nowhere.
 type Stats struct {
 	Name       string `json:"name"`
-	Hits       uint64 `json:"hits"`       // key present and computed successfully
+	Hits       uint64 `json:"hits"`       // key already computed successfully; no wait
 	Misses     uint64 `json:"misses"`     // this caller ran the computation
-	DedupWaits uint64 `json:"dedupWaits"` // blocked on another caller's in-flight computation
-	Poisoned   uint64 `json:"poisoned"`   // reads of entries whose computation panicked (not hits)
+	DedupWaits uint64 `json:"dedupWaits"` // blocked on another caller's in-flight computation, which succeeded (not hits)
+	Poisoned   uint64 `json:"poisoned"`   // reads of entries whose computation panicked (not hits or dedup waits)
 	DiskHits   uint64 `json:"diskHits"`   // memory misses answered by the persistent tier
 	DiskStores uint64 `json:"diskStores"` // entries written behind to the persistent tier
 	DiskErrors uint64 `json:"diskErrors"` // encode/decode/IO failures (the tier is best-effort)
@@ -207,17 +211,9 @@ func (c *Cache[V]) Get(key string, compute func() V) V {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
-		select {
-		case <-e.done:
-		default:
-			c.waits.Add(1)
-			<-e.done
-		}
-		if e.panicked {
-			c.poisoned.Add(1)
+		if !c.await(e) {
 			panic("runcache: " + c.name + ": shared computation for key " + key + " panicked")
 		}
-		c.hits.Add(1)
 		return e.val
 	}
 	e := &entry[V]{done: make(chan struct{})}
@@ -244,6 +240,30 @@ func (c *Cache[V]) Get(key string, compute func() V) V {
 	return e.val
 }
 
+// await reads an existing entry, blocking while it is in flight, and
+// counts the read exactly once: Poisoned if the computation panicked,
+// else DedupWaits if this caller had to block, else Hits. It reports
+// whether the entry holds a value.
+func (c *Cache[V]) await(e *entry[V]) bool {
+	waited := false
+	select {
+	case <-e.done:
+	default:
+		waited = true
+		<-e.done
+	}
+	switch {
+	case e.panicked:
+		c.poisoned.Add(1)
+		return false
+	case waited:
+		c.waits.Add(1)
+	default:
+		c.hits.Add(1)
+	}
+	return true
+}
+
 // GetCached returns the value for key if it is already available in
 // memory or in the persistent tier, without ever running a computation.
 // A read of an in-flight entry blocks until the owner finishes; a
@@ -258,17 +278,9 @@ func (c *Cache[V]) GetCached(key string) (V, bool) {
 	e, ok := c.entries[key]
 	c.mu.Unlock()
 	if ok {
-		select {
-		case <-e.done:
-		default:
-			c.waits.Add(1)
-			<-e.done
-		}
-		if e.panicked {
-			c.poisoned.Add(1)
+		if !c.await(e) {
 			return zero, false
 		}
-		c.hits.Add(1)
 		return e.val, true
 	}
 	v, ok := c.loadPersisted(key)

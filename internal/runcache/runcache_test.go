@@ -1,10 +1,21 @@
 package runcache
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// checkConserved asserts the counter law: every Get lands in exactly
+// one of hits, misses, dedup waits, poisoned reads and disk hits.
+func checkConserved(t *testing.T, s Stats, gets uint64) {
+	t.Helper()
+	if sum := s.Hits + s.Misses + s.DedupWaits + s.Poisoned + s.DiskHits; sum != gets {
+		t.Errorf("%s: hits(%d) + misses(%d) + dedupWaits(%d) + poisoned(%d) + diskHits(%d) = %d, want %d Get calls",
+			s.Name, s.Hits, s.Misses, s.DedupWaits, s.Poisoned, s.DiskHits, sum, gets)
+	}
+}
 
 func TestGetMemoizes(t *testing.T) {
 	defer ResetAll()
@@ -24,6 +35,7 @@ func TestGetMemoizes(t *testing.T) {
 	if s.Misses != 1 || s.Hits != 1 || s.Entries != 1 {
 		t.Errorf("stats = %+v, want 1 miss / 1 hit / 1 entry", s)
 	}
+	checkConserved(t, s, 2)
 }
 
 func TestGetDisabledRecomputes(t *testing.T) {
@@ -80,6 +92,103 @@ func TestSingleFlight(t *testing.T) {
 	if s.Hits+s.DedupWaits != workers-1 {
 		t.Errorf("hits(%d) + dedupWaits(%d) = %d, want %d", s.Hits, s.DedupWaits, s.Hits+s.DedupWaits, workers-1)
 	}
+	checkConserved(t, s, workers)
+}
+
+// TestCountersConservedUnderContention hammers one persistent cache from
+// eight goroutines — keys that compute, keys that panic, and keys a
+// previous process left on disk — and checks every Get was counted
+// exactly once. Under -race it is the concurrency check for the counters.
+func TestCountersConservedUnderContention(t *testing.T) {
+	withDisk(t, "v1")
+	enc, dec := jsonCodec[int]()
+	prev := New[int]("test-conserve").Persist(enc, dec)
+	for k := 0; k < 4; k++ {
+		prev.Get(fmt.Sprint("disk", k), func() int { return k })
+	}
+	WaitPersist()
+	ResetAll()
+
+	c := New[int]("test-conserve").Persist(enc, dec)
+	const workers, rounds = 8, 200
+	var gets atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				n := (i + w) % 12
+				key, want := fmt.Sprint("k", n), n
+				switch {
+				case n < 4:
+					key = fmt.Sprint("disk", n)
+				case n >= 10:
+					key = fmt.Sprint("poison", n)
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil && n < 10 {
+							t.Errorf("Get(%q) panicked: %v", key, r)
+						}
+					}()
+					gets.Add(1)
+					if got := c.Get(key, func() int {
+						if n >= 10 {
+							panic("boom")
+						}
+						return want
+					}); got != want {
+						t.Errorf("Get(%q) = %d, want %d", key, got, want)
+					}
+				}()
+			}
+		}(w)
+	}
+	wg.Wait()
+	s := c.Stats()
+	checkConserved(t, s, gets.Load())
+	if s.Misses != 8 || s.DiskHits != 4 {
+		t.Errorf("stats = %+v, want 8 misses (6 computed, 2 poisoned) and 4 disk hits", s)
+	}
+}
+
+// TestPoisonedWaitersCountOnce: callers reading (or blocked on) a
+// computation that panics count as poisoned reads only — never also as
+// dedup waits.
+func TestPoisonedWaitersCountOnce(t *testing.T) {
+	defer ResetAll()
+	c := New[int]("test-poison-waiters")
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { recover() }()
+		c.Get("k", func() int {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	const waiters = 4
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { recover() }()
+			c.Get("k", func() int { return 1 })
+		}()
+	}
+	close(release)
+	wg.Wait()
+	s := c.Stats()
+	if s.Poisoned != waiters || s.DedupWaits != 0 || s.Hits != 0 {
+		t.Errorf("stats = %+v, want %d poisoned and no dedup waits or hits", s, waiters)
+	}
+	checkConserved(t, s, waiters+1)
 }
 
 // TestPanicPoisonsEntry checks a panicking computation poisons its key:
@@ -122,6 +231,7 @@ func TestPoisonedReadsAreNotHits(t *testing.T) {
 	if s.Misses != 1 {
 		t.Errorf("misses = %d, want 1", s.Misses)
 	}
+	checkConserved(t, s, 3)
 }
 
 // TestResetDuringGets hammers one cache with concurrent Gets, GetCacheds
